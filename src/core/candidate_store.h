@@ -68,6 +68,11 @@ class CandidateStore {
     return tweet_times_[static_cast<size_t>(tweet)] + freshness_window_ >= now;
   }
 
+  /// The last `now` at which `tweet` is fresh.
+  Timestamp FreshUntil(TweetId tweet) const {
+    return tweet_times_[static_cast<size_t>(tweet)] + freshness_window_;
+  }
+
   /// Publication time of `tweet`.
   Timestamp TweetTime(TweetId tweet) const {
     return tweet_times_[static_cast<size_t>(tweet)];

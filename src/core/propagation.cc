@@ -4,11 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define SIMGRAPH_PROPAGATION_X86_GATHER 1
-#include <immintrin.h>
-#endif
-
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -16,87 +11,6 @@
 #include "util/trace.h"
 
 namespace simgraph {
-namespace {
-
-// ---- AccumulateMode::kLanes inner loop --------------------------------
-//
-// Four partial sums, lane j owning elements i ≡ j (mod 4), combined as
-// (l0+l1)+(l2+l3). The scalar and vector bodies implement the same lane
-// assignment, so switching between them only moves results within
-// floating-point rounding of the same reassociated reduction. kExact (the
-// sequential loop in PropagateInto) stays the default and is bit-identical
-// to ReferencePropagate.
-
-double DotGatherLanesScalar(const double* value, const NodeId* nbrs,
-                            const double* weights, size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    l0 += value[nbrs[i + 0]] * weights[i + 0];
-    l1 += value[nbrs[i + 1]] * weights[i + 1];
-    l2 += value[nbrs[i + 2]] * weights[i + 2];
-    l3 += value[nbrs[i + 3]] * weights[i + 3];
-  }
-  double acc = (l0 + l1) + (l2 + l3);
-  for (; i < n; ++i) acc += value[nbrs[i]] * weights[i];
-  return acc;
-}
-
-#ifdef SIMGRAPH_PROPAGATION_X86_GATHER
-__attribute__((target("avx2,fma"))) double DotGatherLanesAvx2(
-    const double* value, const NodeId* nbrs, const double* weights,
-    size_t n) {
-  __m256d lanes = _mm256_setzero_pd();
-  // The masked gather with a zero source and an all-ones mask is the
-  // plain gather; the unmasked intrinsic's wrapper trips GCC's
-  // maybe-uninitialized diagnostic on its pass-through operand.
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(nbrs + i));
-    const __m256d v = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), value,
-                                               idx, all, sizeof(double));
-    const __m256d w = _mm256_loadu_pd(weights + i);
-    lanes = _mm256_fmadd_pd(v, w, lanes);
-  }
-  alignas(32) double l[4];
-  _mm256_store_pd(l, lanes);
-  double acc = (l[0] + l[1]) + (l[2] + l[3]);
-  for (; i < n; ++i) acc += value[nbrs[i]] * weights[i];
-  return acc;
-}
-
-bool DetectAvx2Fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-#endif  // SIMGRAPH_PROPAGATION_X86_GATHER
-
-using DotGatherFn = double (*)(const double*, const NodeId*, const double*,
-                               size_t);
-
-// Runtime CPU dispatch, resolved once per process.
-DotGatherFn ResolveDotGatherLanes() {
-#ifdef SIMGRAPH_PROPAGATION_X86_GATHER
-  if (DetectAvx2Fma()) return &DotGatherLanesAvx2;
-#endif
-  return &DotGatherLanesScalar;
-}
-
-const DotGatherFn kDotGatherLanes = ResolveDotGatherLanes();
-
-}  // namespace
-
-namespace internal {
-bool LanesUseVectorGather() {
-#ifdef SIMGRAPH_PROPAGATION_X86_GATHER
-  return kDotGatherLanes == &DotGatherLanesAvx2;
-#else
-  return false;
-#endif
-}
-}  // namespace internal
 
 double DynamicThreshold::Evaluate(int64_t m) const {
   if (m <= 0) return 0.0;
@@ -255,28 +169,18 @@ void Propagator::PropagateInto(const std::vector<UserId>& seeds,
     // do not depend on the enumeration order of `affected` because reads
     // go through value_, which is only written in the apply loop below.
     // value_ holds every node's effective score densely, so the gather is
-    // branch-free; kExact keeps the sequential add order (bit-identical
-    // to the reference), kLanes reassociates into four partial sums.
+    // branch-free, and the sequential add order keeps it bit-identical
+    // to the reference.
     update.clear();
     const double* const value = scratch.value_.data();
-    if (options.accumulate == AccumulateMode::kLanes) {
-      for (UserId u : affected) {
-        const auto nbrs = g.OutNeighbors(u);
-        const auto weights = g.OutWeights(u);
-        const double acc =
-            kDotGatherLanes(value, nbrs.data(), weights.data(), nbrs.size());
-        update.push_back(acc / static_cast<double>(nbrs.size()));
+    for (UserId u : affected) {
+      const auto nbrs = g.OutNeighbors(u);
+      const auto weights = g.OutWeights(u);
+      double acc = 0.0;
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        acc += value[nbrs[i]] * weights[i];
       }
-    } else {
-      for (UserId u : affected) {
-        const auto nbrs = g.OutNeighbors(u);
-        const auto weights = g.OutWeights(u);
-        double acc = 0.0;
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          acc += value[nbrs[i]] * weights[i];
-        }
-        update.push_back(acc / static_cast<double>(nbrs.size()));
-      }
+      update.push_back(acc / static_cast<double>(nbrs.size()));
     }
 
     next_frontier.clear();

@@ -30,20 +30,6 @@ struct DynamicThreshold {
   double Evaluate(int64_t m) const;
 };
 
-/// How the gather-multiply-add inner loop accumulates neighbour scores.
-enum class AccumulateMode {
-  /// Strictly sequential adds in neighbour order — bit-identical to
-  /// ReferencePropagate. The default; every production path uses it.
-  kExact,
-  /// Four interleaved partial sums (lane j owns elements i ≡ j mod 4),
-  /// combined as (l0+l1)+(l2+l3). Reassociates the reduction, so results
-  /// can differ from kExact by floating-point rounding only (tested to a
-  /// 1e-9 relative tolerance vs ReferencePropagate). On x86-64 with
-  /// AVX2+FMA the lanes run as vector gather intrinsics behind a runtime
-  /// CPU-dispatch guard; elsewhere as an unrolled scalar loop.
-  kLanes,
-};
-
 /// Parameters of the iterative propagation (Algorithm 1 + Section 5.4).
 struct PropagationOptions {
   /// Convergence: stop when no score changes by more than this between
@@ -58,9 +44,6 @@ struct PropagationOptions {
   /// Scale applied to gamma(t) to turn it into a score threshold.
   double dynamic_scale = 1e-3;
   int32_t max_iterations = 100;
-  /// Inner-loop accumulation strategy; kExact is bit-identical to the
-  /// reference, kLanes trades that for SIMD throughput (see AccumulateMode).
-  AccumulateMode accumulate = AccumulateMode::kExact;
 };
 
 /// One user's propagated score.
@@ -81,14 +64,6 @@ struct PropagationResult {
 
 class Propagator;
 class PropagationScratch;
-
-namespace internal {
-/// True when AccumulateMode::kLanes runs as AVX2+FMA gather intrinsics on
-/// this machine (runtime CPU dispatch); false when it falls back to the
-/// unrolled scalar lanes. Exposed so tests and benches can report which
-/// path they exercised.
-bool LanesUseVectorGather();
-}  // namespace internal
 
 /// Builds the linear system A p = b of Section 5.2 restricted to the
 /// subgraph reachable (against edge direction) from the seeds:

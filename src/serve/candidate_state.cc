@@ -64,6 +64,28 @@ bool CandidateState::Deposit(UserId user, TweetId tweet, double score) {
   return store_->Deposit(user, tweet, score);
 }
 
+void CandidateState::DepositAll(TweetId tweet,
+                                std::span<const UserScore> scores,
+                                double min_score,
+                                std::vector<uint8_t>* changed) {
+  const size_t stripe_count = stripes_.size();
+  deposits_by_stripe_.resize(stripe_count);
+  for (auto& bucket : deposits_by_stripe_) bucket.clear();
+  changed->assign(scores.size(), 0);
+  for (uint32_t i = 0; i < scores.size(); ++i) {
+    if (scores[i].score < min_score) continue;
+    const size_t stripe = static_cast<size_t>(scores[i].user) % stripe_count;
+    deposits_by_stripe_[stripe].push_back(i);
+  }
+  for (size_t s = 0; s < stripe_count; ++s) {
+    if (deposits_by_stripe_[s].empty()) continue;
+    std::unique_lock<std::shared_mutex> lock(*stripes_[s]);
+    for (const uint32_t i : deposits_by_stripe_[s]) {
+      (*changed)[i] = store_->Deposit(scores[i].user, tweet, scores[i].score);
+    }
+  }
+}
+
 void CandidateState::ReplayDeltaOps(const SimGraphDelta& delta) {
   const size_t stripe_count = stripes_.size();
   consumed_by_stripe_.resize(stripe_count);
@@ -126,9 +148,13 @@ RecommendOutcome CandidateState::ScanTopK(
       outcome.complete = false;
       break;
     }
-    if (score > 0.0 && store_->IsFresh(tweet, now) &&
-        store_->TweetTime(tweet) <= now) {
+    if (score <= 0.0 || !store_->IsFresh(tweet, now)) continue;
+    const Timestamp posted = store_->TweetTime(tweet);
+    if (posted <= now) {
       fresh.push_back(ScoredTweet{tweet, score});
+    } else {
+      // Hidden until its post time, when it may enter the list.
+      outcome.valid_until = std::min(outcome.valid_until, posted);
     }
   }
   lock.unlock();
@@ -137,6 +163,11 @@ RecommendOutcome CandidateState::ScanTopK(
     fresh.resize(static_cast<size_t>(k));
   } else {
     std::sort(fresh.begin(), fresh.end(), Better);
+  }
+  // A returned tweet leaves the list the first second it is not fresh.
+  for (const ScoredTweet& t : fresh) {
+    outcome.valid_until =
+        std::min(outcome.valid_until, store_->FreshUntil(t.tweet) + 1);
   }
   outcome.tweets = std::move(fresh);
   return outcome;

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "core/candidate_store.h"
+#include "core/propagation.h"
 #include "core/simgraph_delta.h"
 #include "dataset/dataset.h"
 #include "serve/serving_recommender.h"
@@ -44,6 +46,14 @@ class CandidateState {
   /// Raises the stored score (max-merge); true when it actually changed.
   bool Deposit(UserId user, TweetId tweet, double score);
 
+  /// Deposit of every score in `scores` at or above `min_score`, taking
+  /// each stripe lock once instead of once per deposit (as
+  /// ReplayDeltaOps does). changed[i] is Deposit's result for scores[i]
+  /// (false for skipped scores). Each user appears at most once in a
+  /// propagation result, so the outcome is the per-deposit sequence's.
+  void DepositAll(TweetId tweet, std::span<const UserScore> scores,
+                  double min_score, std::vector<uint8_t>* changed);
+
   /// Drops candidates stale at `now` for every user. Stale candidates
   /// are invisible to ScanTopK, so this never changes an answer — it
   /// only bounds memory.
@@ -62,13 +72,17 @@ class CandidateState {
   void ReplayDeltaOps(const SimGraphDelta& delta);
 
   /// Deadline-aware top-k scan over the user's fresh, unconsumed
-  /// candidates; best first, ties broken by tweet id.
+  /// candidates; best first, ties broken by tweet id. Sets
+  /// `valid_until` to the first expiry of a returned tweet or the first
+  /// post time of a candidate hidden because it lies in the future.
   RecommendOutcome ScanTopK(UserId user, Timestamp now, int32_t k,
                             std::chrono::steady_clock::time_point deadline)
       const;
 
-  /// The underlying store (callers must hold the user's stripe).
+  /// The underlying store (callers must hold the user's stripe, or the
+  /// ingest thread must be quiescent).
   CandidateStore& store() { return *store_; }
+  const CandidateStore& store() const { return *store_; }
   std::shared_mutex& StripeOf(UserId user) const {
     return *stripes_[static_cast<size_t>(user) % stripes_.size()];
   }
@@ -77,9 +91,10 @@ class CandidateState {
   std::unique_ptr<CandidateStore> store_;
   std::vector<std::unique_ptr<std::shared_mutex>> stripes_;
   int32_t num_users_ = 0;
-  // Scratch for ReplayDeltaOps: op indices bucketed by stripe, reused
-  // across deltas to avoid reallocation. Safe unsynchronized because
-  // only the single ingest thread mutates this state (see class doc).
+  // Scratch for ReplayDeltaOps and DepositAll: op indices bucketed by
+  // stripe, reused across calls to avoid reallocation. Safe
+  // unsynchronized because only the single ingest thread mutates this
+  // state (see class doc).
   std::vector<std::vector<uint32_t>> consumed_by_stripe_;
   std::vector<std::vector<uint32_t>> deposits_by_stripe_;
 };

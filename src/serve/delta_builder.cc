@@ -115,6 +115,24 @@ bool DeltaBuilder::BuildAndShip(IngestItem first) {
   uint64_t seq_end = first.seq;
   uint64_t request_id = first.request_id;
   bool traced = first.traced;
+  // Opportunistic batching: drain whatever already queued up (bounded)
+  // into the same delta, so a backlog amortises the fan-out cost and
+  // the source can propagate the batch's events in parallel.
+  batch_events_.clear();
+  batch_events_.push_back(first.event);
+  while (static_cast<int64_t>(batch_events_.size()) <
+         options_.max_batch_events) {
+    std::optional<IngestItem> next = queue_.TryPop();
+    if (!next.has_value()) break;
+    next->seq = ++consumed_seq_;
+    RecordQueueWait(*next);
+    batch_events_.push_back(next->event);
+    seq_end = next->seq;
+    if (next->request_id != 0) {
+      request_id = next->request_id;
+      traced = next->traced;
+    }
+  }
   {
     // Adopt the publishing request on this thread so the build span
     // joins its trace tree (batched followers fold into the same span).
@@ -122,23 +140,7 @@ bool DeltaBuilder::BuildAndShip(IngestItem first) {
     if (first.request_id != 0) {
       scope.emplace("request/build_delta", first.request_id, first.traced);
     }
-    source_->ObserveRecordingDelta(first.event, &scratch_);
-    // Opportunistic batching: drain whatever already queued up (bounded)
-    // into the same delta, so a backlog amortises the fan-out cost.
-    int64_t batched = 1;
-    while (batched < options_.max_batch_events) {
-      std::optional<IngestItem> next = queue_.TryPop();
-      if (!next.has_value()) break;
-      next->seq = ++consumed_seq_;
-      RecordQueueWait(*next);
-      source_->ObserveRecordingDelta(next->event, &scratch_);
-      seq_end = next->seq;
-      if (next->request_id != 0) {
-        request_id = next->request_id;
-        traced = next->traced;
-      }
-      ++batched;
-    }
+    source_->ObserveBatchRecordingDelta(batch_events_, &scratch_);
   }
   scratch_.seq_end = seq_end;
   std::sort(scratch_.invalidated.begin(), scratch_.invalidated.end());

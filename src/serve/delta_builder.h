@@ -40,8 +40,10 @@ struct DeltaBuilderOptions {
 ///
 /// In delta mode (`source` != null) the loop pops an event batch, runs
 /// the incremental SimGraph update ONCE on the source recommender while
-/// recording a SimGraphDelta, and fans the finished delta out to every
-/// shard — shards replay O(ops) instead of each re-running the update.
+/// recording a SimGraphDelta (one ObserveBatchRecordingDelta call, which
+/// propagates the batch's events in parallel), and fans the finished
+/// delta out to every shard — shards replay O(ops) instead of each
+/// re-running the update.
 /// In replicated mode (`source` == null, the legacy path kept for
 /// generic recommenders and old-vs-new A/B benches) the loop forwards
 /// each raw event to every shard unchanged; there is no mutex around
@@ -125,6 +127,7 @@ class DeltaBuilder {
   /// Scratch reused across batches so steady-state building does not
   /// reallocate op vectors.
   SimGraphDelta scratch_;  // builder-thread only
+  std::vector<RetweetEvent> batch_events_;  // builder-thread only
   /// High-water mark of the global queue depth.
   std::atomic<int64_t> queue_depth_max_{0};
 };

@@ -30,7 +30,8 @@ ResultCache::Lookup ResultCache::Get(UserId user, Timestamp now, int32_t k) {
   Lookup result;
   result.version = entry.version;
   if (!entry.valid) return result;
-  if (now < entry.computed_at || now - entry.computed_at > ttl_) {
+  if (now < entry.computed_at || now - entry.computed_at > ttl_ ||
+      now >= entry.valid_until) {
     return result;
   }
   const bool complete =
@@ -45,12 +46,14 @@ ResultCache::Lookup ResultCache::Get(UserId user, Timestamp now, int32_t k) {
 }
 
 bool ResultCache::Put(UserId user, Timestamp computed_at, int32_t k,
-                      std::vector<ScoredTweet> tweets, uint64_t version) {
+                      std::vector<ScoredTweet> tweets, uint64_t version,
+                      Timestamp valid_until) {
   std::unique_lock<std::shared_mutex> lock(stripe_of(user).mu);
   Entry& entry = entries_[static_cast<size_t>(user)];
   if (entry.version != version) return false;
   entry.valid = true;
   entry.computed_at = computed_at;
+  entry.valid_until = valid_until;
   entry.k = k;
   entry.tweets = std::move(tweets);
   return true;

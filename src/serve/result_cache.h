@@ -2,6 +2,7 @@
 #define SIMGRAPH_SERVE_RESULT_CACHE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
@@ -26,6 +27,8 @@ namespace serve {
 /// request (user, now, k) when:
 ///   * the user's version is unchanged since the entry was stored, and
 ///   * T <= now <= T + ttl (ttl 0 means "same simulated instant only"),
+///   * now < the entry's valid_until (RecommendOutcome::valid_until: the
+///     list would change by the clock alone from then on),
 ///   * k <= K, or the stored list is complete (the user had fewer than K
 ///     candidates, so any k sees the whole list).
 /// The served list is the first min(k, size) entries — valid because the
@@ -51,11 +54,13 @@ class ResultCache {
   Lookup Get(UserId user, Timestamp now, int32_t k);
 
   /// Stores a complete top-k list computed at `computed_at` while the
-  /// user's version was `version`. Returns false (and stores nothing)
-  /// when the version moved — i.e. an event invalidated the user while
-  /// the list was being computed.
+  /// user's version was `version`, good for requests with `now` before
+  /// `valid_until`. Returns false (and stores nothing) when the version
+  /// moved — i.e. an event invalidated the user while the list was being
+  /// computed.
   bool Put(UserId user, Timestamp computed_at, int32_t k,
-           std::vector<ScoredTweet> tweets, uint64_t version);
+           std::vector<ScoredTweet> tweets, uint64_t version,
+           Timestamp valid_until = std::numeric_limits<Timestamp>::max());
 
   /// Bumps the user's version and drops any cached entry. Returns true
   /// when an entry was actually dropped.
@@ -78,6 +83,7 @@ class ResultCache {
     uint64_t version = 0;
     bool valid = false;
     Timestamp computed_at = 0;
+    Timestamp valid_until = 0;
     int32_t k = 0;
     std::vector<ScoredTweet> tweets;
   };

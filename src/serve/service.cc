@@ -324,7 +324,7 @@ RecommendResponse RecommendationService::RecommendImpl(
   }
   if (cache_ != nullptr) {
     cache_->Put(request.user, request.now, request.k, outcome.tweets,
-                version);
+                version, outcome.valid_until);
   }
   response.tweets = std::move(outcome.tweets);
   return response;

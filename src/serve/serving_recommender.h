@@ -2,6 +2,7 @@
 #define SIMGRAPH_SERVE_SERVING_RECOMMENDER_H_
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,10 +27,14 @@ struct AffectedUsers {
 
 /// A (possibly truncated) recommendation list. `complete` is false when a
 /// deadline expired mid-computation and `tweets` holds only the
-/// best-so-far prefix.
+/// best-so-far prefix. `valid_until` is the earliest `now` at which the
+/// same state could answer differently by the clock alone (a returned
+/// tweet ages out of the freshness window, or a hidden future-dated one
+/// becomes visible); recommenders that cannot tell leave it unbounded.
 struct RecommendOutcome {
   std::vector<ScoredTweet> tweets;
   bool complete = true;
+  Timestamp valid_until = std::numeric_limits<Timestamp>::max();
 };
 
 /// A Recommender extended with the hooks the serving layer needs:

@@ -1,6 +1,7 @@
 #include "serve/simgraph_serving_recommender.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "util/logging.h"
@@ -17,6 +18,8 @@ SimGraphServingRecommender::SimGraphServingRecommender(
   SIMGRAPH_CHECK_GT(options_.num_stripes, 0);
   SIMGRAPH_CHECK_GT(options_.evict_every, 0);
 }
+
+SimGraphServingRecommender::~SimGraphServingRecommender() = default;
 
 Status SimGraphServingRecommender::Train(const Dataset& dataset,
                                          int64_t train_end) {
@@ -68,12 +71,11 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
 
 void SimGraphServingRecommender::RefreshSnapshot() {
   SIMGRAPH_TRACE_SPAN("SimGraphServingRecommender::RefreshSnapshot", "serve");
-  auto snapshot = std::make_shared<const SimGraph>(incremental_->Snapshot());
-  auto propagator = std::make_unique<Propagator>(*snapshot);
+  auto propagation = std::make_shared<const PropagationSnapshot>(
+      std::make_shared<const SimGraph>(incremental_->Snapshot()));
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_ = std::move(snapshot);
-    propagator_ = std::move(propagator);
+    propagation_ = std::move(propagation);
     ++graph_epoch_;
     SIMGRAPH_GAUGE_SET("serve.snapshot.epoch",
                        static_cast<double>(graph_epoch_));
@@ -94,76 +96,8 @@ AffectedUsers SimGraphServingRecommender::ObserveAffected(
 
 AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
     const RetweetEvent& event, SimGraphDelta* delta) {
-  SIMGRAPH_CHECK(state_.initialized()) << "Train must be called first";
   AffectedUsers affected;
-
-  // The similarity graph absorbs every event, known tweet or not: new
-  // posts keep shaping user-user similarity even before they are part of
-  // the recommendable catalogue.
-  incremental_->Apply(event, delta);
-  ++observed_;
-  if (options_.snapshot_refresh_events > 0 &&
-      observed_ % options_.snapshot_refresh_events == 0) {
-    SIMGRAPH_SCOPED_LATENCY("serve.snapshot.refresh_seconds");
-    RefreshSnapshot();
-    if (delta != nullptr) {
-      delta->flags |= SimGraphDelta::kFlagSnapshotRefresh;
-      delta->snapshot_epoch = graph_epoch();
-      delta->snapshot = GraphSnapshot();
-    }
-  }
-
-  if (event.tweet < 0 ||
-      event.tweet >= static_cast<int64_t>(tweet_author_.size())) {
-    // Unknown to the tweet catalogue: no author/timestamp, so it cannot
-    // be recommended yet; only the graph learned from it.
-    SIMGRAPH_COUNTER_ADD("serve.ingest.unknown_tweets", 1);
-    return affected;
-  }
-
-  const UserId author = tweet_author_[static_cast<size_t>(event.tweet)];
-  state_.MarkConsumed(event.user, event.tweet);
-  affected.users.push_back(event.user);
-  state_.MarkConsumed(author, event.tweet);
-  affected.users.push_back(author);
-  if (delta != nullptr) {
-    delta->consumed.push_back({event.user, event.tweet});
-    delta->consumed.push_back({author, event.tweet});
-  }
-
-  TweetState& state = tweet_state_[event.tweet];
-  state.seeds.push_back(event.user);
-
-  const bool metrics_on = metrics::Enabled();
-  WallTimer propagation_timer;
-  propagator_->PropagateInto(state.seeds,
-                             static_cast<int64_t>(state.seeds.size()),
-                             options_.propagation, propagation_scratch_,
-                             &propagation_result_);
-  if (metrics_on) {
-    const double us = propagation_timer.ElapsedSeconds() * 1e6;
-    SIMGRAPH_HISTOGRAM_RECORD("serve.apply.propagation_us", us);
-    if (shard_propagation_us_ != nullptr) shard_propagation_us_->Record(us);
-  }
-  const PropagationResult& result = propagation_result_;
-  ++num_propagations_;
-  for (const UserScore& us : result.scores) {
-    if (us.score < options_.min_deposit_score) continue;
-    if (state_.Deposit(us.user, event.tweet, us.score)) {
-      affected.users.push_back(us.user);
-      if (delta != nullptr) {
-        delta->deposits.push_back({us.user, event.tweet, us.score});
-      }
-    }
-  }
-
-  // Stale candidates are invisible to TopK, so evicting them never
-  // changes an answer — no invalidation needed.
-  if (observed_ % options_.evict_every == 0) {
-    state_.EvictStale(event.time);
-    if (delta != nullptr) delta->evict_before = event.time;
-  }
-
+  ObserveBatch({&event, 1}, delta, &affected.users);
   std::sort(affected.users.begin(), affected.users.end());
   affected.users.erase(
       std::unique(affected.users.begin(), affected.users.end()),
@@ -173,6 +107,126 @@ AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
                               affected.users.begin(), affected.users.end());
   }
   return affected;
+}
+
+void SimGraphServingRecommender::ObserveBatchRecordingDelta(
+    std::span<const RetweetEvent> events, SimGraphDelta* delta) {
+  ObserveBatch(events, delta, delta != nullptr ? &delta->invalidated : nullptr);
+}
+
+void SimGraphServingRecommender::ObserveBatch(
+    std::span<const RetweetEvent> events, SimGraphDelta* delta,
+    std::vector<UserId>* affected) {
+  SIMGRAPH_CHECK(state_.initialized()) << "Train must be called first";
+  if (events.empty()) return;
+  if (events.size() > 1 && !pool_started_) {
+    pool_started_ = true;
+    const int workers = std::min(
+        2, static_cast<int>(std::thread::hardware_concurrency()) - 1);
+    if (workers > 0) {
+      pool_ = std::make_unique<PropagationPool>(
+          workers, options_.propagation, &propagation_scratch_);
+    }
+  }
+  PropagationPool* const pool = events.size() > 1 ? pool_.get() : nullptr;
+  if (jobs_.size() < events.size()) jobs_.resize(events.size());
+  if (pool != nullptr) pool->Begin(jobs_.data());
+
+  // Stage R, in event order: rescore, refresh check, seed push. Each job
+  // captures the snapshot current for its event, so a refresh later in
+  // the batch does not change what an earlier event propagates over.
+  const int64_t first_observed = observed_;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const RetweetEvent& event = events[i];
+    PropagationJob& job = jobs_[i];
+    job.done = false;
+    job.snapshot.reset();
+    // The similarity graph absorbs every event, known tweet or not: new
+    // posts keep shaping user-user similarity even before they are part
+    // of the recommendable catalogue.
+    incremental_->Apply(event, delta);
+    ++observed_;
+    if (options_.snapshot_refresh_events > 0 &&
+        observed_ % options_.snapshot_refresh_events == 0) {
+      SIMGRAPH_SCOPED_LATENCY("serve.snapshot.refresh_seconds");
+      RefreshSnapshot();
+      if (delta != nullptr) {
+        delta->flags |= SimGraphDelta::kFlagSnapshotRefresh;
+        delta->snapshot_epoch = graph_epoch();
+        delta->snapshot = GraphSnapshot();
+      }
+    }
+    if (event.tweet >= 0 &&
+        event.tweet < static_cast<int64_t>(tweet_author_.size())) {
+      std::vector<UserId>& seeds = tweet_state_[event.tweet].seeds;
+      seeds.push_back(event.user);
+      job.seeds.assign(seeds.begin(), seeds.end());
+      job.snapshot = propagation_;  // written only on this thread
+    }
+    if (pool != nullptr) pool->Publish(i + 1);
+  }
+
+  // Stage D, in event order: each event's propagation (waited for, or
+  // run here when no worker claimed it), then its consumed marks,
+  // deposits, recording and eviction.
+  const bool metrics_on = metrics::Enabled();
+  for (size_t i = 0; i < events.size(); ++i) {
+    const RetweetEvent& event = events[i];
+    PropagationJob& job = jobs_[i];
+    if (pool != nullptr) {
+      pool->Await(i);
+    } else {
+      job.Run(options_.propagation, propagation_scratch_);
+    }
+    if (job.snapshot == nullptr) {
+      // Unknown to the tweet catalogue: no author/timestamp, so it cannot
+      // be recommended yet; only the graph learned from it.
+      SIMGRAPH_COUNTER_ADD("serve.ingest.unknown_tweets", 1);
+      continue;
+    }
+    if (metrics_on) {
+      SIMGRAPH_HISTOGRAM_RECORD("serve.apply.propagation_us", job.us);
+      if (shard_propagation_us_ != nullptr) {
+        shard_propagation_us_->Record(job.us);
+      }
+    }
+    ++num_propagations_;
+    const UserId author = tweet_author_[static_cast<size_t>(event.tweet)];
+    state_.MarkConsumed(event.user, event.tweet);
+    state_.MarkConsumed(author, event.tweet);
+    if (affected != nullptr) {
+      affected->push_back(event.user);
+      affected->push_back(author);
+    }
+    if (delta != nullptr) {
+      delta->consumed.push_back({event.user, event.tweet});
+      delta->consumed.push_back({author, event.tweet});
+    }
+    const std::vector<UserScore>& scores = job.result.scores;
+    state_.DepositAll(event.tweet, scores, options_.min_deposit_score,
+                      &deposit_changed_);
+    for (size_t j = 0; j < scores.size(); ++j) {
+      if (!deposit_changed_[j]) continue;
+      if (affected != nullptr) affected->push_back(scores[j].user);
+      if (delta != nullptr) {
+        delta->deposits.push_back(
+            {scores[j].user, event.tweet, scores[j].score});
+      }
+    }
+
+    // Stale candidates are invisible to TopK, so evicting them never
+    // changes an answer — no invalidation needed.
+    const int64_t observed = first_observed + static_cast<int64_t>(i) + 1;
+    if (observed % options_.evict_every == 0) {
+      state_.EvictStale(event.time);
+      if (delta != nullptr) delta->evict_before = event.time;
+    }
+  }
+  if (pool != nullptr) pool->End();
+  // Only the first slot keeps its capacity between batches; every job
+  // drops its snapshot so a swapped-out epoch is freed.
+  jobs_.resize(1);
+  jobs_[0].snapshot.reset();
 }
 
 std::vector<ScoredTweet> SimGraphServingRecommender::Recommend(UserId user,
@@ -193,7 +247,7 @@ RecommendOutcome SimGraphServingRecommender::RecommendUntil(
 std::shared_ptr<const SimGraph> SimGraphServingRecommender::GraphSnapshot()
     const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_;
+  return propagation_ != nullptr ? propagation_->graph : nullptr;
 }
 
 uint64_t SimGraphServingRecommender::graph_epoch() const {
@@ -204,9 +258,9 @@ uint64_t SimGraphServingRecommender::graph_epoch() const {
 bool SimGraphServingRecommender::GraphStats(uint64_t* epoch,
                                             int64_t* edges) const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (snapshot_ == nullptr) return false;
+  if (propagation_ == nullptr) return false;
   *epoch = graph_epoch_;
-  *edges = snapshot_->graph.num_edges();
+  *edges = propagation_->graph->graph.num_edges();
   return true;
 }
 

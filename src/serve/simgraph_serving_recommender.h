@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/simgraph.h"
 #include "core/simgraph_delta.h"
 #include "serve/candidate_state.h"
+#include "serve/propagation_pool.h"
 #include "serve/serving_recommender.h"
 #include "store/graph_image.h"
 #include "util/metrics.h"
@@ -53,13 +55,14 @@ struct ServingSimGraphOptions {
 /// so reads never block on graph maintenance.
 ///
 /// Under the delta-shipping pipeline (docs/ingest.md) exactly one of
-/// these is the DeltaBuilder's source of truth: ObserveRecordingDelta
+/// these is the DeltaBuilder's source of truth: ObserveBatchRecordingDelta
 /// runs the update once and records everything downstream
 /// DeltaApplierRecommender shards need to follow along.
 ///
 /// Threading model (enforced by RecommendationService / DeltaBuilder):
-///   * ObserveAffected / ObserveRecordingDelta run on exactly one ingest
-///     thread;
+///   * ObserveAffected / ObserveRecordingDelta / ObserveBatchRecordingDelta
+///     run on exactly one ingest thread; a multi-event batch propagates
+///     its events on a small internal PropagationPool meanwhile;
 ///   * Recommend / RecommendUntil may run concurrently from any number
 ///     of reader threads (concurrent_reads() is true).
 /// Candidate and consumed state is guarded by locks striped over users
@@ -67,6 +70,7 @@ struct ServingSimGraphOptions {
 class SimGraphServingRecommender final : public ServingRecommender {
  public:
   explicit SimGraphServingRecommender(ServingSimGraphOptions options = {});
+  ~SimGraphServingRecommender() override;
 
   std::string name() const override { return "SimGraphServing"; }
   Status Train(const Dataset& dataset, int64_t train_end) override;
@@ -80,6 +84,16 @@ class SimGraphServingRecommender final : public ServingRecommender {
   /// builder finalises). `delta` may be null.
   AffectedUsers ObserveRecordingDelta(const RetweetEvent& event,
                                       SimGraphDelta* delta);
+
+  /// ObserveRecordingDelta over a batch of events, with the same result
+  /// and the same recorded delta as one call per event in order (the
+  /// affected users go to delta->invalidated only). Runs in three stages:
+  /// rescore, refresh check and seed push for every event in order on
+  /// this thread; each event's propagation on the pool, over the
+  /// snapshot that was current for it; then consumed marks, deposits,
+  /// recording and eviction in order on this thread. `delta` may be null.
+  void ObserveBatchRecordingDelta(std::span<const RetweetEvent> events,
+                                  SimGraphDelta* delta);
 
   /// Caches the shard-qualified serve.apply.propagation_us histogram so
   /// the ingest loop records per-shard propagation latency without a
@@ -106,6 +120,10 @@ class SimGraphServingRecommender final : public ServingRecommender {
 
   int64_t num_propagations() const { return num_propagations_; }
 
+  /// The candidate/consumed state (single-threaded access only, like
+  /// incremental()).
+  const CandidateState& candidate_state() const { return state_; }
+
  private:
   struct TweetState {
     std::vector<UserId> seeds;
@@ -114,6 +132,11 @@ class SimGraphServingRecommender final : public ServingRecommender {
   /// Materialises incremental_ into a fresh snapshot + propagator and
   /// publishes them (epoch swap). Ingest-thread only.
   void RefreshSnapshot();
+
+  /// The staged batch behind both Observe*Delta entry points; appends
+  /// each event's affected users to `affected` (unsorted) when non-null.
+  void ObserveBatch(std::span<const RetweetEvent> events,
+                    SimGraphDelta* delta, std::vector<UserId>* affected);
 
   ServingSimGraphOptions options_;
   std::unique_ptr<IncrementalSimGraph> incremental_;
@@ -125,21 +148,28 @@ class SimGraphServingRecommender final : public ServingRecommender {
   int32_t num_users_ = 0;
   int64_t observed_ = 0;          // ingest-only
   int64_t num_propagations_ = 0;  // ingest-only
-  // Reused by the single ingest thread across ObserveAffected calls so
-  // steady-state propagation allocates nothing (survives snapshot swaps:
-  // the scratch is propagator-independent).
+  // The batch's propagation jobs, one per event. Only the first slot
+  // outlives a batch, so a batch of one (the per-event path) reuses its
+  // seed and result capacity and allocates nothing in steady state.
+  std::vector<PropagationJob> jobs_;  // ingest-only
+  // The ingest thread's scratch, for jobs it runs itself; during a
+  // pooled batch the pool lends it to whoever runs a job. Propagator-
+  // independent, so it survives swaps.
   PropagationScratch propagation_scratch_;  // ingest-only
-  PropagationResult propagation_result_;    // ingest-only
+  std::vector<uint8_t> deposit_changed_;     // ingest-only, DepositAll out
+  // min(2, hardware threads - 1) workers, started by the first batch of
+  // more than one event; null before that and on single-core hosts.
+  std::unique_ptr<PropagationPool> pool_;  // ingest-only
+  bool pool_started_ = false;              // ingest-only
   // Shard-qualified propagation-latency histogram, cached by BindShard;
   // null outside sharded deployments.
   metrics::LatencyHistogram* shard_propagation_us_ = nullptr;
 
-  /// Guards snapshot_ / propagator_ / graph_epoch_ publication; the
-  /// ingest thread holds it only for the pointer swap, never during the
-  /// (expensive) snapshot build.
+  /// Guards propagation_ / graph_epoch_ publication; the ingest thread
+  /// holds it only for the pointer swap, never during the (expensive)
+  /// snapshot build.
   mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const SimGraph> snapshot_;
-  std::unique_ptr<Propagator> propagator_;  // over *snapshot_; ingest-only use
+  std::shared_ptr<const PropagationSnapshot> propagation_;
   uint64_t graph_epoch_ = 0;
 };
 

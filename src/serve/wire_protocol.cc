@@ -1,7 +1,7 @@
 #include "serve/wire_protocol.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -150,13 +150,15 @@ std::string EscapeJson(std::string_view raw) {
   return out;
 }
 
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  *out += buffer;
-}
-
 }  // namespace
+
+void AppendDouble(std::string* out, double value) {
+  char buffer[32];  // %.17g needs at most 24 bytes ("-1.2345678901234567e-308")
+  const std::to_chars_result end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 17);
+  out->append(buffer, end.ptr);
+}
 
 StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
   std::unordered_map<std::string, std::string> strings;

@@ -108,6 +108,12 @@ std::string FormatPong();
 /// {"ok":false,"error":"..."} — `message` is JSON-escaped.
 std::string FormatError(std::string_view message);
 
+/// Appends `value` exactly as printf's "%.17g" spells it (enough digits
+/// to round-trip any double), via std::to_chars, which the standard
+/// defines to produce the same characters without printf's locale and
+/// format-string overhead.
+void AppendDouble(std::string* out, double value);
+
 /// Append* twins of the Format* functions above: each appends the same
 /// bytes to *out WITHOUT clearing it, so a per-connection reply buffer
 /// (reserved once, reused every pass) accumulates a batch of responses

@@ -6,8 +6,6 @@
 // compared exactly (==, not NEAR): the kernel keeps the reference's
 // CSR-order accumulation precisely so no floating-point drift is allowed.
 
-#include <cmath>
-#include <iostream>
 #include <map>
 #include <vector>
 
@@ -286,58 +284,6 @@ TEST(PropagationEquivalence, BatchMatchesReference) {
         PropagationOptions{});
     ExpectIdentical(batch[i], reference);
   }
-}
-
-// AccumulateMode::kLanes reassociates the inner reduction into four
-// partial sums (vector gather where the CPU supports it), so it is
-// allowed to drift from the reference by floating-point rounding only:
-// same scored-user set, every score within 1e-9 relative tolerance. The
-// default kExact mode keeps the bit-identical contract exercised by every
-// other test in this file.
-TEST(PropagationEquivalence, LanesModeMatchesReferenceWithinTolerance) {
-  PropagationScratch scratch;
-  for (uint64_t g = 1; g <= 12; ++g) {
-    Rng rng(7000 + g);
-    const NodeId n = 40 + static_cast<NodeId>(rng.NextBounded(160));
-    const int64_t edges =
-        n +
-        static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(10 * n)));
-    const SimGraph sg = RandomSimGraph(g * 91, n, edges);
-    Propagator prop(sg);
-    const std::vector<UserId> seeds =
-        RandomSeeds(rng, n, 1 + static_cast<int32_t>(rng.NextBounded(6)));
-    const int64_t popularity = static_cast<int64_t>(seeds.size());
-    PropagationOptions lanes;
-    lanes.accumulate = AccumulateMode::kLanes;
-    const PropagationResult kernel =
-        prop.Propagate(seeds, popularity, lanes, scratch);
-    const PropagationResult reference =
-        testing::ReferencePropagate(sg, seeds, popularity,
-                                    PropagationOptions{});
-    EXPECT_EQ(kernel.converged, reference.converged);
-    const auto a = ToMap(kernel);
-    const auto b = ToMap(reference);
-    ASSERT_EQ(a.size(), b.size());
-    for (const auto& [u, p] : a) {
-      const auto it = b.find(u);
-      ASSERT_NE(it, b.end()) << "lanes mode scored user " << u
-                             << " the reference did not";
-      EXPECT_NEAR(p, it->second,
-                  1e-9 * std::max(1.0, std::abs(it->second)))
-          << "lanes-mode score drift for user " << u;
-    }
-    ExpectSortedByUser(kernel);
-  }
-}
-
-// The kLanes body is resolved once per process by CPU dispatch; report
-// which one this machine runs so CI logs show what the tolerance sweep
-// above actually exercised.
-TEST(PropagationEquivalence, LanesDispatchIsResolved) {
-  std::cout << "kLanes dispatch: "
-            << (internal::LanesUseVectorGather() ? "avx2+fma vector gather"
-                                                 : "scalar lanes")
-            << "\n";
 }
 
 TEST(PropagationEquivalence, ScratchReservesAndReportsMemory) {

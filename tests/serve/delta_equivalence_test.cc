@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -190,6 +191,105 @@ TEST_F(DeltaEquivalenceTest, DeltaAndReplicatedModesAgreeAcrossEpochSwaps) {
 
   delta_service.Stop();
   replicated_service.Stop();
+}
+
+// The staged builder (ObserveBatchRecordingDelta: rescore in order,
+// propagation on the pool, deposits in order) must record exactly what
+// one ObserveRecordingDelta call per event records over the same batch
+// boundaries: byte-identical SGDL for every delta and the same final
+// candidate state. The stream forces the awkward cases into batches of
+// 16: snapshot refreshes every 7 events (so inside batches), unknown
+// tweet ids, an eviction sweep every 5 events, and a tweet repeated
+// within a batch.
+TEST_F(DeltaEquivalenceTest, StagedBatchRecordsTheSameDeltasAsPerEventCalls) {
+  ServingSimGraphOptions options;
+  options.snapshot_refresh_events = 7;
+  options.evict_every = 5;
+  std::vector<RetweetEvent> stream;
+  for (int64_t i = 0; i < num_test_; ++i) {
+    const RetweetEvent& e = TestEvent(i);
+    stream.push_back(e);
+    if (i % 5 == 4) {  // the same tweet again, a few events later
+      RetweetEvent again = e;
+      again.user = (e.user + 1) % dataset_.num_users();
+      stream.push_back(again);
+    }
+    if (i % 11 == 10) {  // beyond the catalogue
+      RetweetEvent unknown = e;
+      unknown.tweet = dataset_.num_tweets() + i;
+      stream.push_back(unknown);
+    }
+  }
+  constexpr size_t kBatch = 16;
+
+  SimGraphServingRecommender per_event(options);
+  SimGraphServingRecommender staged(options);
+  ASSERT_TRUE(per_event.Train(dataset_, protocol_.train_end).ok());
+  ASSERT_TRUE(staged.Train(dataset_, protocol_.train_end).ok());
+  const auto finish = [](SimGraphDelta* delta, std::string* bytes) {
+    std::sort(delta->invalidated.begin(), delta->invalidated.end());
+    delta->invalidated.erase(
+        std::unique(delta->invalidated.begin(), delta->invalidated.end()),
+        delta->invalidated.end());
+    bytes->clear();
+    delta->SerializeTo(bytes);
+  };
+  int64_t refreshes_inside = 0;
+  int64_t evictions = 0;
+  int64_t repeats = 0;
+  int64_t deposits = 0;
+  SimGraphDelta expected;
+  SimGraphDelta actual;
+  std::string expected_bytes;
+  std::string actual_bytes;
+  for (size_t begin = 0; begin < stream.size(); begin += kBatch) {
+    const size_t end = std::min(stream.size(), begin + kBatch);
+    const std::span<const RetweetEvent> batch(stream.data() + begin,
+                                              end - begin);
+    expected.Clear();
+    actual.Clear();
+    expected.seq_begin = actual.seq_begin = begin + 1;
+    expected.seq_end = actual.seq_end = end;
+    for (const RetweetEvent& e : batch) {
+      per_event.ObserveRecordingDelta(e, &expected);
+    }
+    staged.ObserveBatchRecordingDelta(batch, &actual);
+    finish(&expected, &expected_bytes);
+    finish(&actual, &actual_bytes);
+    ASSERT_EQ(actual_bytes, expected_bytes)
+        << "delta for events " << begin + 1 << ".." << end;
+    // In-process shards get the batch's last refreshed snapshot.
+    const bool refreshed =
+        (actual.flags & SimGraphDelta::kFlagSnapshotRefresh) != 0;
+    EXPECT_EQ(actual.snapshot,
+              refreshed ? staged.GraphSnapshot() : nullptr);
+
+    const size_t first_refresh = (begin / 7 + 1) * 7;  // 1-based seq
+    if (first_refresh < end) ++refreshes_inside;
+    if (expected.evict_before != 0) ++evictions;
+    deposits += static_cast<int64_t>(expected.deposits.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      for (size_t j = i + 1; j < batch.size(); ++j) {
+        if (batch[i].tweet == batch[j].tweet) ++repeats;
+      }
+    }
+  }
+  EXPECT_GT(refreshes_inside, 0);
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(repeats, 0);
+  EXPECT_GT(deposits, 0);
+  EXPECT_EQ(staged.num_propagations(), per_event.num_propagations());
+  EXPECT_EQ(staged.graph_epoch(), per_event.graph_epoch());
+
+  const CandidateStore& want = per_event.candidate_state().store();
+  const CandidateStore& got = staged.candidate_state().store();
+  for (UserId u = 0; u < dataset_.num_users(); ++u) {
+    ASSERT_EQ(got.CandidatesOf(u), want.CandidatesOf(u)) << "user " << u;
+    for (TweetId t = 0; t < dataset_.num_tweets(); ++t) {
+      ASSERT_EQ(got.IsConsumed(u, t), want.IsConsumed(u, t))
+          << "user " << u << " tweet " << t;
+    }
+  }
 }
 
 // A remote replica fed only serialized bytes (the delta_observer tap,

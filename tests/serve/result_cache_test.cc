@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
+
+#include "serve/candidate_state.h"
 
 namespace simgraph {
 namespace serve {
@@ -104,6 +107,86 @@ TEST(ResultCacheTest, InvalidateAllCountsDroppedEntries) {
   EXPECT_EQ(cache.InvalidateAll(), 3);
   EXPECT_EQ(cache.InvalidateAll(), 0);
   EXPECT_EQ(cache.size(), 0);
+}
+
+// A hit must be the answer a recompute at the request's `now` gives:
+// the cache stores the scan's valid_until and misses from then on, even
+// inside the TTL. Two users over three tweets with a 100 s freshness
+// window: tweet 0 posted at 0, tweet 1 at 50, tweet 2 at 80.
+class CacheFreshnessTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Dataset dataset;
+    dataset.num_users_hint = 2;
+    for (const Timestamp posted : {0, 50, 80}) {
+      Tweet tweet;
+      tweet.id = static_cast<TweetId>(dataset.tweets.size());
+      tweet.time = posted;
+      dataset.tweets.push_back(tweet);
+    }
+    ASSERT_TRUE(state_.Init(dataset, 0, /*freshness_window=*/100, 4).ok());
+  }
+
+  RecommendOutcome Scan(UserId user, Timestamp now) const {
+    return state_.ScanTopK(user, now, /*k=*/5,
+                           std::chrono::steady_clock::time_point::max());
+  }
+
+  static std::vector<TweetId> Ids(const std::vector<ScoredTweet>& tweets) {
+    std::vector<TweetId> ids;
+    for (const ScoredTweet& t : tweets) ids.push_back(t.tweet);
+    return ids;
+  }
+
+  /// Caches the scan at `computed_at` the way RecommendationService does,
+  /// then checks every `now` of the TTL: a hit equals the recompute.
+  void ExpectHitsMatchRecompute(UserId user, Timestamp computed_at) {
+    ResultCache cache(2, /*ttl=*/1000);
+    const RecommendOutcome outcome = Scan(user, computed_at);
+    ASSERT_TRUE(cache.Put(user, computed_at, 5, outcome.tweets,
+                          cache.Version(user), outcome.valid_until));
+    for (Timestamp now = computed_at; now <= computed_at + 1000; ++now) {
+      const ResultCache::Lookup lookup = cache.Get(user, now, 5);
+      if (lookup.hit) {
+        ASSERT_EQ(Ids(lookup.tweets), Ids(Scan(user, now).tweets))
+            << "stale hit at now=" << now;
+      }
+    }
+  }
+
+  CandidateState state_;
+};
+
+TEST_F(CacheFreshnessTest, ReturnedTweetAgingOutEndsTheHit) {
+  state_.Deposit(0, 0, 0.9);
+  state_.Deposit(0, 1, 0.5);
+  const RecommendOutcome at60 = Scan(0, 60);
+  EXPECT_EQ(Ids(at60.tweets), (std::vector<TweetId>{0, 1}));
+  EXPECT_EQ(at60.valid_until, 101);  // tweet 0 is fresh through now=100
+
+  ResultCache cache(2, /*ttl=*/1000);
+  ASSERT_TRUE(cache.Put(0, 60, 5, at60.tweets, cache.Version(0),
+                        at60.valid_until));
+  EXPECT_TRUE(cache.Get(0, 100, 5).hit);
+  EXPECT_FALSE(cache.Get(0, 101, 5).hit);
+  EXPECT_EQ(Ids(Scan(0, 101).tweets), (std::vector<TweetId>{1}));
+  ExpectHitsMatchRecompute(0, 60);
+}
+
+TEST_F(CacheFreshnessTest, HiddenTweetBecomingVisibleEndsTheHit) {
+  state_.Deposit(1, 0, 0.5);
+  state_.Deposit(1, 2, 0.9);  // posted at 80: hidden before then
+  const RecommendOutcome at60 = Scan(1, 60);
+  EXPECT_EQ(Ids(at60.tweets), (std::vector<TweetId>{0}));
+  EXPECT_EQ(at60.valid_until, 80);
+
+  ResultCache cache(2, /*ttl=*/1000);
+  ASSERT_TRUE(cache.Put(1, 60, 5, at60.tweets, cache.Version(1),
+                        at60.valid_until));
+  EXPECT_TRUE(cache.Get(1, 79, 5).hit);
+  EXPECT_FALSE(cache.Get(1, 80, 5).hit);
+  EXPECT_EQ(Ids(Scan(1, 80).tweets), (std::vector<TweetId>{2, 0}));
+  ExpectHitsMatchRecompute(1, 60);
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/metrics.h"
+#include "util/random.h"
 
 namespace simgraph {
 namespace serve {
@@ -143,6 +150,44 @@ TEST(WireProtocolTest, AppendTwinsMatchFormatByteForByte) {
   expected += FormatError("bad \"stuff\"\n");
 
   EXPECT_EQ(out, expected);
+}
+
+// AppendDouble must spell every double exactly as snprintf("%.17g")
+// does, byte for byte: scores in (0, 1], subnormals, and the values on
+// either side of powers of ten where %g switches notation.
+TEST(WireProtocolTest, AppendDoubleMatchesPrintfByteForByte) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.5,
+                                1.0 / 3.0,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::epsilon()};
+  Rng rng(20240613);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(1.0 - rng.NextDouble());  // (0, 1], a propagated score
+  }
+  for (int i = 0; i < 2000; ++i) {
+    // Subnormals: a random mantissa below the smallest normal.
+    values.push_back(std::numeric_limits<double>::min() * rng.NextDouble());
+  }
+  for (int e = -320; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, 2.0 * p));
+    values.push_back(-p);
+  }
+  for (const double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g", v);
+    std::string actual;
+    AppendDouble(&actual, v);
+    ASSERT_EQ(actual, expected) << "value bits differ for " << expected;
+  }
 }
 
 TEST(WireProtocolTest, NoteReplyBufferUseCountsReusesAndGrows) {
