@@ -2,8 +2,8 @@
 #define SIMGRAPH_CORE_CANDIDATE_STORE_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/recommender.h"
@@ -17,6 +17,12 @@ namespace simgraph {
 ///   * never recommend a post the user already interacted with;
 ///   * never recommend an outdated post (older than the freshness window —
 ///     the paper's Section 3 concludes 72 h).
+///
+/// Layout: each user owns one open-addressed table of 16-byte
+/// {tweet, score} slots (linear probing, power-of-two capacity, load at
+/// most 3/4). A consumed mark lives in the slot key itself, so Deposit
+/// is a single probe and allocates only when a new entry grows the
+/// table. Iteration order over a user's candidates is unspecified.
 class CandidateStore {
  public:
   /// `tweet_times[i]` is the publication time of tweet i (used for the
@@ -40,7 +46,8 @@ class CandidateStore {
 
   /// True when MarkConsumed(user, tweet) was called before.
   bool IsConsumed(UserId user, TweetId tweet) const {
-    return consumed_[static_cast<size_t>(user)].contains(tweet);
+    const Slot* slot = Find(tables_[static_cast<size_t>(user)], tweet);
+    return slot != nullptr && slot->key < 0;
   }
 
   /// Top-k fresh, unconsumed candidates for `user` at time `now`, best
@@ -49,18 +56,31 @@ class CandidateStore {
 
   /// Drops stale candidates for all users (call periodically to bound
   /// memory). A tweet is stale when older than the freshness window
-  /// relative to `now`.
+  /// relative to `now`. Consumed marks are kept.
   void EvictStale(Timestamp now);
 
   /// EvictStale restricted to one user, so concurrent callers that stripe
   /// their locks per user (src/serve/) can evict without a global lock.
   void EvictStaleForUser(UserId user, Timestamp now);
 
-  /// The raw candidate map of `user` (consumed tweets are never present).
-  /// Callers that need deadline-aware partial scans iterate this directly
-  /// with IsFresh; everyone else should use TopK.
-  const std::unordered_map<TweetId, double>& CandidatesOf(UserId user) const {
-    return candidates_[static_cast<size_t>(user)];
+  /// Calls `fn(tweet, score)` for every stored candidate of `user`
+  /// (consumed tweets are never visited) in unspecified order, stopping
+  /// early when `fn` returns false. Callers that need deadline-aware
+  /// partial scans use this with IsFresh; everyone else should use TopK.
+  template <typename Fn>
+  void ForEachCandidate(UserId user, Fn&& fn) const {
+    const Table& table = tables_[static_cast<size_t>(user)];
+    for (uint32_t i = 0; i < table.capacity; ++i) {
+      const Slot& slot = table.slots[i];
+      if (slot.key < 0) continue;  // empty or consumed
+      if (!fn(slot.key, slot.score)) return;
+    }
+  }
+
+  /// Occupied slots of `user` (candidates plus consumed marks): an upper
+  /// bound on what ForEachCandidate visits.
+  int64_t OccupiedSlots(UserId user) const {
+    return tables_[static_cast<size_t>(user)].used;
   }
 
   /// True when `tweet` is within the freshness window at time `now`.
@@ -81,10 +101,37 @@ class CandidateStore {
   int64_t TotalCandidates() const;
 
  private:
+  /// key >= 0: a candidate tweet id; key == kEmptyKey: a free slot; any
+  /// other negative key: the consumed mark ~tweet (score unused).
+  struct Slot {
+    int64_t key = kEmptyKey;
+    double score = 0.0;
+  };
+  static constexpr int64_t kEmptyKey = std::numeric_limits<int64_t>::min();
+
+  struct Table {
+    std::unique_ptr<Slot[]> slots;
+    uint32_t capacity = 0;  // 0 or a power of two
+    uint32_t used = 0;      // candidates plus consumed marks
+  };
+
+  static uint32_t Home(const Table& table, TweetId tweet) {
+    return static_cast<uint32_t>(
+               (static_cast<uint64_t>(tweet) * 0x9E3779B97F4A7C15ull) >> 32) &
+           (table.capacity - 1);
+  }
+  static TweetId TweetOf(int64_t key) { return key >= 0 ? key : ~key; }
+
+  /// The slot holding `tweet` (candidate or consumed), or null.
+  static const Slot* Find(const Table& table, TweetId tweet);
+  /// The slot holding `tweet`, inserting a score-0 candidate when absent
+  /// (growing the table first when the insert would exceed load 3/4).
+  static Slot* FindOrInsert(Table& table, TweetId tweet);
+  static void Grow(Table& table);
+
   std::vector<Timestamp> tweet_times_;
   Timestamp freshness_window_;
-  std::vector<std::unordered_map<TweetId, double>> candidates_;  // per user
-  std::vector<std::unordered_set<TweetId>> consumed_;            // per user
+  std::vector<Table> tables_;  // per user
 };
 
 }  // namespace simgraph

@@ -125,9 +125,34 @@ bool IncrementalSimGraph::WithinHops(UserId u, UserId w) const {
   return false;
 }
 
-void IncrementalSimGraph::RescoreEdge(UserId u, UserId v) {
+double IncrementalSimGraph::SimilarityToEventUser(UserId v) {
+  const size_t vi = static_cast<size_t>(v);
+  if (!memo_users_.Insert(vi)) return memo_sim_[vi];
+  double sim = 1.0;
+  if (v != event_user_) {
+    const std::vector<TweetId>& lv = profiles_->Profile(v);
+    double inter_weight = 0.0;
+    int64_t inter_count = 0;
+    for (const TweetId t : lv) {
+      if (!event_tweets_.Contains(static_cast<size_t>(t))) continue;
+      const int32_t m = profiles_->Popularity(t);
+      if (m > 0) inter_weight += 1.0 / std::log(1.0 + m);
+      ++inter_count;
+    }
+    sim = 0.0;
+    if (inter_count != 0) {
+      const int64_t union_size = profiles_->ProfileSize(event_user_) +
+                                 static_cast<int64_t>(lv.size()) -
+                                 inter_count;
+      sim = inter_weight / static_cast<double>(union_size);
+    }
+  }
+  memo_sim_[vi] = sim;
+  return sim;
+}
+
+void IncrementalSimGraph::RescoreEdge(UserId u, UserId v, double sim) {
   ++stats_.pairs_rescored;
-  const double sim = profiles_->Similarity(u, v);
   auto& row = adjacency_[static_cast<size_t>(u)];
   const auto it = row.find(v);
   if (sim >= options_.tau) {
@@ -167,12 +192,22 @@ void IncrementalSimGraph::Apply(const RetweetEvent& event,
   profiles_->Apply(event);
 
   const UserId u = event.user;
+  // Every pair rescored below has u at one end: stamp L_u once.
+  event_user_ = u;
+  event_tweets_.Reserve(static_cast<size_t>(profiles_->num_tweets()));
+  event_tweets_.Clear();
+  for (const TweetId t : profiles_->Profile(u)) {
+    event_tweets_.Insert(static_cast<size_t>(t));
+  }
+  memo_users_.Reserve(adjacency_.size());
+  memo_users_.Clear();
+  memo_sim_.resize(adjacency_.size());
   for (UserId v : peers) {
     if (v == u) continue;
     // Definition 4.1 in both directions: u->v needs v in N2(u), v->u
     // needs u in N2(v).
-    if (WithinHops(u, v)) RescoreEdge(u, v);
-    if (WithinHops(v, u)) RescoreEdge(v, u);
+    if (WithinHops(u, v)) RescoreEdge(u, v, SimilarityToEventUser(v));
+    if (WithinHops(v, u)) RescoreEdge(v, u, SimilarityToEventUser(v));
   }
   // The event changed |L_u|, so every edge incident to u is stale:
   // refresh them too (cost O(deg(u)), keeps u's neighbourhood exact).
@@ -180,11 +215,11 @@ void IncrementalSimGraph::Apply(const RetweetEvent& event,
   for (const auto& [v, w] : adjacency_[static_cast<size_t>(u)]) {
     out_targets.push_back(v);
   }
-  for (UserId v : out_targets) RescoreEdge(u, v);
+  for (UserId v : out_targets) RescoreEdge(u, v, SimilarityToEventUser(v));
   const std::vector<UserId> in_sources(
       reverse_[static_cast<size_t>(u)].begin(),
       reverse_[static_cast<size_t>(u)].end());
-  for (UserId v : in_sources) RescoreEdge(v, u);
+  for (UserId v : in_sources) RescoreEdge(v, u, SimilarityToEventUser(v));
   if (record_ != nullptr) record_->graph_version = version_;
   record_ = nullptr;
 }

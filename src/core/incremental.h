@@ -10,6 +10,7 @@
 #include "core/simgraph.h"
 #include "core/simgraph_delta.h"
 #include "dataset/dataset.h"
+#include "util/stamped_set.h"
 
 namespace simgraph {
 
@@ -122,10 +123,18 @@ class IncrementalSimGraph {
   /// True when w is within `hops` out-hops of u in the follow graph.
   bool WithinHops(UserId u, UserId w) const;
 
-  /// Recomputes sim(u, v) and upserts/drops the edge u->v (only; callers
-  /// handle the reverse direction). Records the op into `record_` when a
-  /// delta is being extracted.
-  void RescoreEdge(UserId u, UserId v);
+  /// sim(event user, v) on the current profiles, bit-identical to
+  /// MutableProfileStore::Similarity: walks only L_v in ascending order
+  /// against the event user's stamped profile (the same summation order
+  /// as the merge) and memoises the result per v for the current event.
+  /// Similarity is symmetric bit for bit, so one value serves both edge
+  /// directions.
+  double SimilarityToEventUser(UserId v);
+
+  /// Upserts/drops the edge u->v for the refreshed similarity `sim`
+  /// (only; callers handle the reverse direction). Records the op into
+  /// `record_` when a delta is being extracted.
+  void RescoreEdge(UserId u, UserId v, double sim);
 
   const Digraph* follow_graph_;
   SimGraphOptions options_;
@@ -140,6 +149,13 @@ class IncrementalSimGraph {
   /// Destination of edge ops while Apply(event, delta) runs; null
   /// outside delta extraction.
   SimGraphDelta* record_ = nullptr;
+  /// Per-event rescore scratch: the event user's tweets, and sim(u, v)
+  /// for every v already computed during this event (memo_sim_[v] is
+  /// valid iff memo_users_ contains v).
+  UserId event_user_ = kInvalidNode;
+  StampedSet event_tweets_;
+  StampedSet memo_users_;
+  std::vector<double> memo_sim_;
 };
 
 }  // namespace simgraph

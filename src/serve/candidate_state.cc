@@ -138,17 +138,17 @@ RecommendOutcome CandidateState::ScanTopK(
     lock.lock();
   }
   SIMGRAPH_TRACE_SPAN("request/candidate_scoring", "serve");
-  const auto& raw = store_->CandidatesOf(user);
   std::vector<ScoredTweet> fresh;
-  fresh.reserve(std::min<size_t>(raw.size(), 1024));
+  fresh.reserve(static_cast<size_t>(
+      std::min<int64_t>(store_->OccupiedSlots(user), 1024)));
   int64_t scanned = 0;
-  for (const auto& [tweet, score] : raw) {
+  store_->ForEachCandidate(user, [&](TweetId tweet, double score) {
     if (scanned++ % kDeadlineCheckStride == 0 &&
         std::chrono::steady_clock::now() >= deadline) {
       outcome.complete = false;
-      break;
+      return false;
     }
-    if (score <= 0.0 || !store_->IsFresh(tweet, now)) continue;
+    if (score <= 0.0 || !store_->IsFresh(tweet, now)) return true;
     const Timestamp posted = store_->TweetTime(tweet);
     if (posted <= now) {
       fresh.push_back(ScoredTweet{tweet, score});
@@ -156,7 +156,8 @@ RecommendOutcome CandidateState::ScanTopK(
       // Hidden until its post time, when it may enter the list.
       outcome.valid_until = std::min(outcome.valid_until, posted);
     }
-  }
+    return true;
+  });
   lock.unlock();
   if (static_cast<int64_t>(fresh.size()) > k) {
     std::partial_sort(fresh.begin(), fresh.begin() + k, fresh.end(), Better);

@@ -379,6 +379,36 @@ TEST(IncrementalSimGraphTest, CheaperThanRebuild) {
   EXPECT_LT(inc.stats().pairs_rescored, window * 200);
 }
 
+TEST(IncrementalSimGraphTest, RescoredWeightsAreBitIdenticalToMergeOracle) {
+  // Apply computes each rescored pair by walking one profile against the
+  // event user's stamped profile, memoised per event. Every weight it
+  // writes must equal the two-profile merge (Similarity) bit for bit, and
+  // every dropped edge must really have fallen below tau.
+  const Dataset& d = Shared();
+  const int64_t split = d.SplitIndex(0.9);
+  IncrementalSimGraph inc(d.follow_graph, Opts());
+  ASSERT_TRUE(inc.Initialize(d, split).ok());
+  int64_t upserts = 0;
+  int64_t removes = 0;
+  for (int64_t i = split; i < d.num_retweets(); ++i) {
+    SimGraphDelta delta;
+    inc.Apply(d.retweets[static_cast<size_t>(i)], &delta);
+    for (const SimGraphDelta::EdgeUpsert& op : delta.edge_upserts) {
+      ASSERT_EQ(op.weight, inc.profiles().Similarity(op.src, op.dst))
+          << "event " << i << " edge " << op.src << "->" << op.dst;
+      ASSERT_EQ(inc.profiles().Similarity(op.src, op.dst),
+                inc.profiles().Similarity(op.dst, op.src));
+      ++upserts;
+    }
+    for (const SimGraphDelta::EdgeRemove& op : delta.edge_removes) {
+      ASSERT_LT(inc.profiles().Similarity(op.src, op.dst), Opts().tau);
+      ++removes;
+    }
+  }
+  EXPECT_GT(upserts, 100);
+  EXPECT_GT(removes + inc.stats().edges_updated, 0);
+}
+
 TEST(IncrementalSimGraphTest, InitializeValidatesInput) {
   const Dataset& d = Shared();
   IncrementalSimGraph inc(d.follow_graph, Opts());

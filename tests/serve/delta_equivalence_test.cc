@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/simgraph_delta.h"
@@ -20,6 +21,19 @@
 namespace simgraph {
 namespace serve {
 namespace {
+
+// Every stored candidate of `user` as (tweet, score), sorted by tweet:
+// the store's own iteration order is unspecified.
+std::vector<std::pair<TweetId, double>> SortedCandidates(
+    const CandidateStore& store, UserId user) {
+  std::vector<std::pair<TweetId, double>> entries;
+  store.ForEachCandidate(user, [&](TweetId tweet, double score) {
+    entries.emplace_back(tweet, score);
+    return true;
+  });
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
 
 std::unique_ptr<ServingRecommender> MakeReplicatedSimGraph(
     const ServingSimGraphOptions& options) {
@@ -284,7 +298,8 @@ TEST_F(DeltaEquivalenceTest, StagedBatchRecordsTheSameDeltasAsPerEventCalls) {
   const CandidateStore& want = per_event.candidate_state().store();
   const CandidateStore& got = staged.candidate_state().store();
   for (UserId u = 0; u < dataset_.num_users(); ++u) {
-    ASSERT_EQ(got.CandidatesOf(u), want.CandidatesOf(u)) << "user " << u;
+    ASSERT_EQ(SortedCandidates(got, u), SortedCandidates(want, u))
+        << "user " << u;
     for (TweetId t = 0; t < dataset_.num_tweets(); ++t) {
       ASSERT_EQ(got.IsConsumed(u, t), want.IsConsumed(u, t))
           << "user " << u << " tweet " << t;

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -36,7 +38,13 @@ class GraphImageEquivalenceTest : public ::testing::Test {
                    protocol_.panel.begin() +
                        std::min<size_t>(protocol_.panel.size(), 48));
 
-    image_path_ = ::testing::TempDir() + "/serve_equiv.sgcs";
+    // One image per case and process: ctest runs each case in its own
+    // process, possibly in parallel, and a shared path would let one
+    // case rewrite or unlink the file another case has mapped (SIGBUS).
+    const std::string test_name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    image_path_ = ::testing::TempDir() + "/serve_equiv_" + test_name + "_" +
+                  std::to_string(::getpid()) + ".sgcs";
     ASSERT_TRUE(
         store::WriteDigraphSnapshot(dataset_.follow_graph, image_path_).ok());
     StatusOr<std::shared_ptr<const store::GraphImage>> image =
